@@ -7,33 +7,23 @@ up.
 """
 
 from repro.analysis.report import format_table
-from repro.mitigation.augmentation import (
-    _FootprintRouter,
-    candidate_new_edges,
-    improvement_curve,
-)
+from repro.mitigation.augmentation import candidate_new_edges, improvement_curve
+from repro.mitigation.drivers import AugmentationEnv
 
 ISPS = ("Tata", "NTT", "TeliaSonera", "Sprint")
 
 
 def _exact_best(fiber_map, network, isp, candidates):
     """Exhaustive k=1: apply each candidate and measure exactly."""
-    base_router = _FootprintRouter(fiber_map, isp)
-    demands = sorted({l.endpoints for l in fiber_map.links_of(isp)})
-    footprint = set(base_router.graph.nodes)
-    baseline = base_router.route_exposure(demands)
-    best = baseline
-    for edge, length in candidates:
-        if edge[0] not in footprint or edge[1] not in footprint:
-            continue
-        router = _FootprintRouter(fiber_map, isp)
-        router.add_private_conduit(edge, length)
-        after = router.route_exposure(demands)
+    env = AugmentationEnv(fiber_map, network, isp, max_k=1, candidates=candidates)
+    best = env.baseline
+    for pos in range(env.num_candidates):
+        (after,) = env.evaluate((pos,))
         if after < best:
             best = after
-    if baseline <= 0:
+    if env.baseline <= 0:
         return 0.0
-    return 1.0 - best / baseline
+    return 1.0 - best / env.baseline
 
 
 def _sweep(scenario):

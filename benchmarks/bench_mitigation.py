@@ -1,43 +1,54 @@
-"""Benchmark: the §5 mitigation sweep on vs off the routing substrate.
+"""Benchmark: the §5 mitigation sweep on the routing substrate vs the
+NetworkX oracles.
 
 Times Figure 10 (robustness), Figure 11 (augmentation), and Figure 12
 (latency) end-to-end on the compiled CSR substrate and on the NetworkX
-reference path, asserts the results agree, and reports the speedup in
-``BENCH_mitigation.json`` — the acceptance number for the substrate
-(target: >= 5x on the combined sweep).
+reference implementations in ``tests/oracles``, asserts the results
+agree, and reports the speedup in ``BENCH_mitigation.json`` — the
+acceptance number for the substrate (target: >= 5x on the combined
+sweep).  Run from the repository root (``python -m pytest``) so the
+``tests`` package is importable.
 """
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
-from repro.experiments import fig10, fig11, fig12
 from repro.mitigation.augmentation import candidate_new_edges, improvement_curves
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
+from tests import oracles
+
+#: The substrate entry points, shaped like the oracle module.
+SUBSTRATE = SimpleNamespace(
+    optimize_all_isps=optimize_all_isps,
+    improvement_curves=improvement_curves,
+    latency_study=latency_study,
+)
 
 
-def _run_sweep(scenario, substrate):
-    """One full §5 sweep; ``substrate=False`` forces the NetworkX path."""
+def _run_sweep(scenario, impl, **options):
+    """One full §5 sweep through *impl*'s three entry points."""
     fiber_map = scenario.constructed_map
     network = scenario.network
     timings = {}
     started = time.perf_counter()
-    suggestions = optimize_all_isps(
-        fiber_map, scenario.risk_matrix, substrate=substrate
+    suggestions = impl.optimize_all_isps(
+        fiber_map, scenario.risk_matrix, **options
     )
     timings["fig10"] = time.perf_counter() - started
     started = time.perf_counter()
-    curves = improvement_curves(
+    curves = impl.improvement_curves(
         fiber_map,
         network,
         list(scenario.isps),
         candidates=candidate_new_edges(fiber_map, network),
-        substrate=substrate,
+        **options,
     )
     timings["fig11"] = time.perf_counter() - started
     started = time.perf_counter()
-    study = latency_study(fiber_map, network, substrate=substrate)
+    study = impl.latency_study(fiber_map, network, **options)
     timings["fig12"] = time.perf_counter() - started
     timings["total"] = sum(timings.values())
     return timings, (suggestions, curves, study)
@@ -47,9 +58,10 @@ def test_mitigation(scenario, report_output):
     # Warm the shared stages so the timings isolate the analyses.
     scenario.constructed_map
     scenario.risk_matrix
-    substrate = scenario.substrate
-    fast, fast_results = _run_sweep(scenario, substrate)
-    reference, reference_results = _run_sweep(scenario, False)
+    fast, fast_results = _run_sweep(
+        scenario, SUBSTRATE, substrate=scenario.substrate
+    )
+    reference, reference_results = _run_sweep(scenario, oracles)
     assert fast_results[0] == reference_results[0]
     assert fast_results[1] == reference_results[1]
     assert fast_results[2] == reference_results[2]

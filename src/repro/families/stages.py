@@ -19,7 +19,7 @@ ever colliding with (or shadowing) the default family's.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.engine import StageContext, StageDef
 from repro.families.base import DEFAULT_FAMILY, MapFamily, get_family
@@ -124,7 +124,7 @@ def _build_risk_matrix(ctx: StageContext) -> RiskMatrix:
     )
 
 
-def _build_substrate(ctx: StageContext) -> Optional[RoutingSubstrate]:
+def _build_substrate(ctx: StageContext) -> RoutingSubstrate:
     fiber_map, _ = ctx.dep("constructed_map")
     return build_substrate(
         fiber_map,

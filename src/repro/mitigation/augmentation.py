@@ -23,19 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.fibermap.elements import FiberMap
-from repro.perf.substrate import (
-    HAVE_SCIPY,
-    ConduitSubstrate,
-    GraphView,
-    resolve_substrate,
-)
+from repro.perf.substrate import ConduitSubstrate, GraphView
 from repro.transport.network import EdgeKey, TransportationNetwork, canonical_edge
-
-if HAVE_SCIPY:
-    import numpy as np
 
 #: Length contribution to routing weight (prefers short when risk ties).
 LENGTH_EPSILON = 1.0 / 2000.0
@@ -100,52 +92,6 @@ def candidate_new_edges(
     return result
 
 
-class _FootprintRouter:
-    """Minimum-risk routing over one provider's (augmentable) footprint."""
-
-    def __init__(self, fiber_map: FiberMap, isp: str):
-        self.graph = nx.Graph()
-        for cid, conduit in sorted(fiber_map.conduits.items()):
-            if isp not in conduit.tenants:
-                continue
-            a, b = conduit.edge
-            weight = conduit.num_tenants + LENGTH_EPSILON * conduit.length_km
-            data = self.graph.get_edge_data(a, b)
-            if data is None or weight < data["w"]:
-                self.graph.add_edge(
-                    a, b, w=weight, risk=conduit.num_tenants
-                )
-
-    def add_private_conduit(self, edge: EdgeKey, length_km: float) -> None:
-        weight = 1.0 + LENGTH_EPSILON * length_km
-        data = self.graph.get_edge_data(*edge)
-        if data is None or weight < data["w"]:
-            self.graph.add_edge(edge[0], edge[1], w=weight, risk=1)
-
-    def route_exposure(self, demands: Sequence[EdgeKey]) -> float:
-        """Traffic-weighted average shared risk over all demands."""
-        total_risk = 0.0
-        total_hops = 0
-        for a, b in demands:
-            try:
-                path = nx.shortest_path(self.graph, a, b, weight="w")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                continue
-            for u, v in zip(path, path[1:]):
-                total_risk += self.graph[u][v]["risk"]
-                total_hops += 1
-        if total_hops == 0:
-            return 0.0
-        return total_risk / total_hops
-
-    def dijkstra_risk(self, source: str) -> Dict[str, float]:
-        if source not in self.graph:
-            return {}
-        return nx.single_source_dijkstra_path_length(
-            self.graph, source, weight="w"
-        )
-
-
 def candidate_gain(
     du,
     dv,
@@ -179,6 +125,29 @@ def candidate_gain(
         # bit-identical to the reference ``+=`` loop.
         return float((costs[better] - via[better]).cumsum()[-1])
     return 0.0
+
+
+def _demand_costs(view: GraphView, demands: Sequence[EdgeKey], dist, row_of):
+    """``(ai, bi, costs)`` for :func:`candidate_gain`: the node indices
+    and current path costs of the *demands* routable on *view*, in demand
+    order.  *dist*/*row_of* come from a Dijkstra covering every demand's
+    first endpoint."""
+    ai: List[int] = []
+    bi: List[int] = []
+    costs: List[float] = []
+    for a, b in demands:
+        if not view.present(a):
+            continue
+        cost = dist[row_of[a], view.index[b]]
+        if np.isfinite(cost):
+            ai.append(view.index[a])
+            bi.append(view.index[b])
+            costs.append(float(cost))
+    return (
+        np.asarray(ai, dtype=np.int64),
+        np.asarray(bi, dtype=np.int64),
+        np.asarray(costs, dtype=float),
+    )
 
 
 def _footprint_view(conduits: ConduitSubstrate, isp: str) -> GraphView:
@@ -233,8 +202,7 @@ def improvement_curve(
     candidates by the exposure drop of rerouting the provider's links
     with the candidate added, applies the best, and measures exactly.
     On the routing substrate the step is one batched Dijkstra plus
-    vectorized scoring; without scipy (or with ``substrate=False``) the
-    NetworkX reference answers instead.
+    vectorized scoring.
 
     *driver* may be any name registered in
     :data:`repro.mitigation.drivers.DRIVERS` (``greedy``, ``anneal``,

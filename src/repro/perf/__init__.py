@@ -17,12 +17,11 @@ from repro.perf.cache import (
     default_cache_root,
     resolve_cache,
 )
-from repro.perf.routing import HAVE_SCIPY, RoutingCore, build_routing_core
+from repro.perf.routing import RoutingCore, build_routing_core
 
 __all__ = [
     "ArtifactCache",
     "CacheEntry",
-    "HAVE_SCIPY",
     "RoutingCore",
     "build_routing_core",
     "code_version",

@@ -27,10 +27,9 @@ masks) and derives cheap *views* from them:
   targeted-attack step costs one reverse union sweep instead of a full
   per-step graph rebuild.
 
-As with the routing core, scipy is an optional accelerator: without it
-:func:`build_substrate` returns ``None`` and every consumer falls back
-to its NetworkX reference implementation, which the parity suite
-cross-checks against the substrate on randomized fiber maps.
+The NetworkX implementations these views replaced live on only as test
+oracles (``tests/oracles``), which the parity suite cross-checks against
+the substrate on randomized fiber maps.
 """
 
 from __future__ import annotations
@@ -47,15 +46,9 @@ from typing import (
     Tuple,
 )
 
-try:  # scipy/numpy are optional accelerators, never hard dependencies.
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    np = None
-    HAVE_SCIPY = False
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 #: scipy's sentinel for "no predecessor" in predecessor matrices.
 _NO_PREDECESSOR = -9999
@@ -71,9 +64,6 @@ class UnionFind:
     remove conduits) are therefore processed in reverse, adding each
     step's severed conduits back while answering that step's
     connectivity queries (offline decremental connectivity).
-
-    Pure python on ints — no scipy required — so the montecarlo fast
-    path can use it even when the CSR machinery is unavailable.
     """
 
     def __init__(self, size: int):
@@ -124,8 +114,6 @@ class GraphView:
         weights: Dict[str, "np.ndarray"],
         payload: Optional[Dict[str, "np.ndarray"]] = None,
     ):
-        if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-            raise RuntimeError("scipy is required for substrate graph views")
         self.nodes = nodes
         self.index = index
         self.eu = np.asarray(eu, dtype=np.int32)
@@ -445,8 +433,6 @@ class ConduitSubstrate:
     """
 
     def __init__(self, fiber_map):
-        if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-            raise RuntimeError("scipy is required for the routing substrate")
         self.nodes: List[str] = sorted(fiber_map.nodes)
         self.index: Dict[str, int] = {k: i for i, k in enumerate(self.nodes)}
         self.cids: List[str] = sorted(fiber_map.conduits)
@@ -534,8 +520,8 @@ class ConduitSubstrate:
         """The collapsed conduit graph: min-tenant representative per
         pair, with ``risk`` and ``length_km`` weight views.
 
-        Reproduces both ``FiberMap.simple_conduit_graph()`` and the
-        robustness ``_risk_graph`` (they share the same collapse).
+        Reproduces ``FiberMap.simple_conduit_graph()`` (the same
+        collapse the robustness oracle's risk graph uses).
         """
         rows = np.arange(self.num_conduits, dtype=np.int64)
         return self.build_view(
@@ -620,8 +606,6 @@ def compile_transport_view(network, kinds: Optional[Iterable[str]]) -> GraphView
     the shortest covering geometry among the allowed kinds — which the
     NetworkX path rebuilt on *every* ``row_shortest_path`` call.
     """
-    if not HAVE_SCIPY:  # pragma: no cover - guarded by build_substrate
-        raise RuntimeError("scipy is required for the routing substrate")
     nodes = sorted(network.graph.nodes)
     index = {k: i for i, k in enumerate(nodes)}
     kind_set = frozenset(kinds) if kinds is not None else None
@@ -699,15 +683,10 @@ class RoutingSubstrate:
         return bool(self._row_views)
 
 
-def build_substrate(
-    fiber_map, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """A :class:`RoutingSubstrate` over *fiber_map*, or ``None`` without
-    scipy (callers then take their NetworkX reference path).  *row_kinds*
-    selects which right-of-way kind sets are compiled on attach (default:
-    the US family's road/rail)."""
-    if not HAVE_SCIPY:
-        return None
+def build_substrate(fiber_map, network=None, row_kinds=None) -> RoutingSubstrate:
+    """A :class:`RoutingSubstrate` over *fiber_map*.  *row_kinds* selects
+    which right-of-way kind sets are compiled on attach (default: the US
+    family's road/rail)."""
     return RoutingSubstrate(fiber_map, network=network, row_kinds=row_kinds)
 
 
@@ -717,17 +696,13 @@ def build_substrate(
 _SUBSTRATES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def substrate_for(
-    fiber_map, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """The memoized substrate for a fiber map (``None`` without scipy).
+def substrate_for(fiber_map, network=None, row_kinds=None) -> RoutingSubstrate:
+    """The memoized substrate for a fiber map.
 
     If a cached substrate lacks transport views for the requested kind
     sets and a network is now available, the missing views are compiled
     and attached in place.
     """
-    if not HAVE_SCIPY:
-        return None
     substrate = _SUBSTRATES.get(fiber_map)
     if substrate is None:
         substrate = RoutingSubstrate(
@@ -749,15 +724,10 @@ def substrate_for(
 
 def resolve_substrate(
     fiber_map, substrate, network=None, row_kinds=None
-) -> Optional[RoutingSubstrate]:
-    """The substrate a §5/resilience entry point should use.
-
-    ``None`` (the default) auto-builds via :func:`substrate_for`;
-    ``False`` forces the NetworkX reference implementation (used by the
-    parity suite); an explicit instance is passed through.
-    """
+) -> RoutingSubstrate:
+    """The substrate a §5/resilience entry point should use: ``None``
+    (the default) auto-builds via :func:`substrate_for`; an explicit
+    instance is passed through."""
     if substrate is None:
         return substrate_for(fiber_map, network=network, row_kinds=row_kinds)
-    if substrate is False:
-        return None
     return substrate

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.fibermap.elements import FiberMap
 from repro.geo.coords import fiber_delay_ms
 from repro.perf.substrate import RoutingSubstrate, resolve_substrate
@@ -69,19 +67,6 @@ class CutImpact:
         return None
 
 
-def _surviving_graph(fiber_map: FiberMap, isp: str, event: CutEvent) -> nx.Graph:
-    """The provider's conduit graph with the severed conduits removed."""
-    graph = nx.Graph()
-    for cid, conduit in sorted(fiber_map.conduits.items()):
-        if isp not in conduit.tenants or cid in event.conduit_ids:
-            continue
-        a, b = conduit.edge
-        data = graph.get_edge_data(a, b)
-        if data is None or conduit.length_km < data["length_km"]:
-            graph.add_edge(a, b, length_km=conduit.length_km)
-    return graph
-
-
 def probes_crossing(traffic: Dict[str, object], conduit_ids) -> int:
     """Probe traffic that crossed the given conduits (overlay units)."""
     probes = 0
@@ -97,52 +82,35 @@ def _reroute_stats(
     isp: str,
     event: CutEvent,
     hit_links,
-    substrate: Optional[RoutingSubstrate],
+    substrate: RoutingSubstrate,
 ) -> Tuple[int, List[float]]:
-    """Disconnected-pair count and reroute delays for one provider."""
-    if substrate is None:
-        survivors = _surviving_graph(fiber_map, isp, event)
-
-        def rerouted(a: str, b: str) -> Optional[float]:
-            try:
-                return nx.shortest_path_length(
-                    survivors, a, b, weight="length_km"
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                return None
-
-    else:
-        conduits = substrate.conduits
-        dead_rows = {
-            conduits.row_of[cid]
-            for cid in event.conduit_ids
-            if cid in conduits.row_of
-        }
-        view = conduits.surviving_footprint_view(isp, dead_rows)
-        dist_pack = view.dijkstra(
-            [link.endpoints[0] for link in hit_links], "length_km"
-        )
-
-        def rerouted(a: str, b: str) -> Optional[float]:
-            if not view.present(a) or not view.present(b):
-                return None
-            dist, _pred, row_of = dist_pack
-            km = float(dist[row_of[a], view.index[b]])
-            if km == float("inf"):
-                return None
-            return km
-
+    """Disconnected-pair count and reroute delays for one provider: one
+    batched Dijkstra over its surviving-footprint view."""
+    conduits = substrate.conduits
+    dead_rows = {
+        conduits.row_of[cid]
+        for cid in event.conduit_ids
+        if cid in conduits.row_of
+    }
+    view = conduits.surviving_footprint_view(isp, dead_rows)
+    dist, _pred, row_of = view.dijkstra(
+        [link.endpoints[0] for link in hit_links], "length_km"
+    )
     disconnected = 0
     delays: List[float] = []
     for link in hit_links:
         a, b = link.endpoints
+        rerouted_km = (
+            float(dist[row_of[a], view.index[b]])
+            if view.present(a) and view.present(b)
+            else float("inf")
+        )
+        if rerouted_km == float("inf"):
+            disconnected += 1
+            continue
         original_km = sum(
             fiber_map.conduit(cid).length_km for cid in link.conduit_ids
         )
-        rerouted_km = rerouted(a, b)
-        if rerouted_km is None:
-            disconnected += 1
-            continue
         delays.append(
             max(0.0, fiber_delay_ms(rerouted_km) - fiber_delay_ms(original_km))
         )
@@ -157,9 +125,8 @@ def assess_cut(
 ) -> CutImpact:
     """Assess one cut event across every tenant of the severed conduits.
 
-    On the routing substrate each provider's reroute distances come from
-    one batched Dijkstra over its surviving-footprint view; without
-    scipy the per-link NetworkX solves answer instead.
+    Each provider's reroute distances come from one batched Dijkstra
+    over its surviving-footprint view on the routing substrate.
     """
     resolved = resolve_substrate(fiber_map, substrate)
     tenants = set()

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fibermap.elements import FiberMap
 from repro.perf.substrate import UnionFind, resolve_substrate
 from repro.resilience.cuts import CutEvent, edge_cut
-from repro.resilience.impact import CutImpact, assess_cut, probes_crossing
+from repro.resilience.impact import probes_crossing
 from repro.risk.matrix import RiskMatrix
 from repro.traceroute.overlay import TrafficOverlay
 from repro.transport.network import EdgeKey
@@ -37,58 +37,14 @@ class AttackResult:
     probes_affected: Tuple[int, ...]
 
 
-def _apply_sequence_reference(
+def _apply_sequence(
     fiber_map: FiberMap,
     edges: Sequence[EdgeKey],
     overlay: Optional[TrafficOverlay],
+    substrate=None,
 ) -> AttackResult:
-    """Assess a sequence of ROW cuts with cumulative conduit removal.
-
-    One :func:`assess_cut` per step; the per-step probe count comes from
-    the overlay's traffic table directly instead of a second full
-    assessment of the single-edge event.
-    """
-    traffic = overlay.traffic() if overlay is not None else None
-    events: List[CutEvent] = []
-    dead: set = set()
-    cumulative_disconnected: List[int] = []
-    cumulative_isps: List[int] = []
-    probes: List[int] = []
-    for edge in edges:
-        event = edge_cut(fiber_map, *edge)
-        # Accumulate: everything severed so far goes dark together.
-        dead |= event.conduit_ids
-        combined = CutEvent(
-            description=f"cumulative cuts through {event.description}",
-            conduit_ids=frozenset(dead),
-            location=event.location,
-        )
-        impact = assess_cut(fiber_map, combined, substrate=False)
-        events.append(event)
-        cumulative_disconnected.append(impact.total_pairs_disconnected)
-        cumulative_isps.append(
-            sum(1 for i in impact.per_isp if i.pairs_disconnected > 0)
-        )
-        probes.append(
-            probes_crossing(traffic, event.conduit_ids)
-            if traffic is not None
-            else 0
-        )
-    return AttackResult(
-        events=tuple(events),
-        cumulative_disconnected=tuple(cumulative_disconnected),
-        cumulative_isps_harmed=tuple(cumulative_isps),
-        probes_affected=tuple(probes),
-    )
-
-
-def _apply_sequence_substrate(
-    fiber_map: FiberMap,
-    edges: Sequence[EdgeKey],
-    overlay: Optional[TrafficOverlay],
-    substrate,
-) -> AttackResult:
-    """Cumulative-cut assessment via offline decremental connectivity.
+    """Assess a sequence of ROW cuts with cumulative conduit removal,
+    via offline decremental connectivity.
 
     Cuts only ever remove conduits, so the cumulative step sequence is
     processed **in reverse** per provider: start from the footprint that
@@ -96,7 +52,7 @@ def _apply_sequence_substrate(
     Each provider therefore costs one union-find sweep over its rows
     instead of one shortest-path solve per hit link per step.
     """
-    conduits = substrate.conduits
+    conduits = resolve_substrate(fiber_map, substrate).conduits
     traffic = overlay.traffic() if overlay is not None else None
     events: List[CutEvent] = []
     death_step: Dict[int, int] = {}
@@ -183,19 +139,6 @@ def _apply_sequence_substrate(
         cumulative_isps_harmed=tuple(cumulative_isps),
         probes_affected=tuple(probes),
     )
-
-
-def _apply_sequence(
-    fiber_map: FiberMap,
-    edges: Sequence[EdgeKey],
-    overlay: Optional[TrafficOverlay],
-    substrate=None,
-) -> AttackResult:
-    """Assess a sequence of ROW cuts with cumulative conduit removal."""
-    resolved = resolve_substrate(fiber_map, substrate)
-    if resolved is None:
-        return _apply_sequence_reference(fiber_map, edges, overlay)
-    return _apply_sequence_substrate(fiber_map, edges, overlay, resolved)
 
 
 def targeted_attack(

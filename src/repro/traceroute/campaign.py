@@ -70,14 +70,13 @@ from repro.data.cities import city_by_name
 from repro.obs.faults import FaultInjector, get_fault_injector, set_fault_injector
 from repro.obs.tracer import get_tracer
 from repro.traceroute.columns import ColumnSchema, TraceColumns, unpack_shard
-from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from repro.traceroute.probe import ProbeEngine
 from repro.traceroute.rngv2 import (  # noqa: F401 (re-exports)
     DEFAULT_BATCH_SIZE,
     MAX_ATTEMPTS_PER_TRACE,
     SUPPORTED_RNG_CONTRACTS,
     default_rng_contract,
     generate_columns_v2,
-    trace_record_v2,
 )
 from repro.traceroute.topology import InternetTopology
 
@@ -220,40 +219,6 @@ def _pick(rng: random.Random, values: List[str], cum: List[float]) -> str:
     return values[bisect(cum, rng.random() * cum[-1], 0, len(values) - 1)]
 
 
-def _trace_for_index(
-    engine: ProbeEngine,
-    plan: _CampaignPlan,
-    config: CampaignConfig,
-    index: int,
-) -> TracerouteRecord:
-    """The record for one trace index, independent of all other traces.
-
-    Dispatches on ``config.rng_contract``; under v1 this is the
-    reference object path whose RNG stream :func:`_columns_for_index`
-    consumes draw for draw, under v2 it delegates to the scalar
-    reference implementation of the vectorized batch path.
-    """
-    if config.rng_contract == 2:
-        return trace_record_v2(engine, plan, config, index)
-    rng = random.Random(_trace_seed(config.seed, index))
-    for _ in range(MAX_ATTEMPTS_PER_TRACE):
-        src_isp = _pick(rng, plan.client_names, plan.client_cum)
-        dst_isp = _pick(rng, plan.dest_names, plan.dest_cum)
-        cities, cum = plan.client_cities[src_isp]
-        src_city = _pick(rng, cities, cum)
-        cities, cum = plan.dest_cities[dst_isp]
-        dst_city = _pick(rng, cities, cum)
-        if src_city == dst_city and src_isp == dst_isp:
-            continue
-        record = engine.trace(src_city, src_isp, dst_city, dst_isp, rng=rng)
-        if record.reached:
-            return record
-    raise RuntimeError(
-        f"trace {index}: no reachable (src, dst) pair after "
-        f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
-    )
-
-
 def _columns_for_index(
     engine: ProbeEngine,
     plan: _CampaignPlan,
@@ -261,11 +226,12 @@ def _columns_for_index(
     writer,
     index: int,
 ) -> None:
-    """Columnar :func:`_trace_for_index`: append the trace to *writer*.
+    """Append trace *index* to *writer* under RNG contract v1.
 
-    Draw-for-draw the same RNG stream — endpoint picks, degenerate
-    redraws, per-hop noise — so the columns it produces reconstruct the
-    exact records of the object path.
+    The trace's private stream is consumed exactly as the object path
+    (:meth:`ProbeEngine.trace`) would — endpoint picks, degenerate
+    redraws, per-hop noise — so the columns reconstruct its records bit
+    for bit.
     """
     rng = random.Random(_trace_seed(config.seed, index))
     for _ in range(MAX_ATTEMPTS_PER_TRACE):
@@ -507,9 +473,7 @@ def run_campaign(
         # inherits the batched predecessor arrays instead of recomputing.
         core_factory = getattr(topology, "routing_core", None)
         if core_factory is not None:
-            core = core_factory()
-            if core is not None:
-                core.prepare(plan.dest_nodes)
+            core_factory().prepare(plan.dest_nodes)
         chunk = max(_MIN_CHUNK, -(-config.num_traces // (n_workers * 4)))
         bounds = [
             (start, min(start + chunk, config.num_traces))

@@ -67,8 +67,8 @@ class TrafficOverlay:
         self._generic_graph = fiber_map.simple_conduit_graph()
         self._isp_graphs: Dict[str, nx.Graph] = {}
         #: One compiled array routing core per conduit graph ("*" =
-        #: generic); None entries mean scipy is unavailable.
-        self._cores: Dict[str, Optional[RoutingCore]] = {}
+        #: generic).
+        self._cores: Dict[str, RoutingCore] = {}
         self._path_cache: Dict[Tuple[str, str, str], Optional[Tuple[str, ...]]] = {}
         self._traces_processed = 0
         self._hops_unresolved = 0
@@ -115,23 +115,11 @@ class TrafficOverlay:
             self._cores[core_key] = build_routing_core(
                 graph, weight="length_km"
             )
-        core = self._cores[core_key]
-        if core is not None:
-            path = core.path(city_a, city_b)
-            if path is not None and len(path) > 1:
-                result = tuple(
-                    graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-                )
-        else:  # scipy unavailable: NetworkX reference path
-            try:
-                path = nx.shortest_path(
-                    graph, city_a, city_b, weight="length_km"
-                )
-                result = tuple(
-                    graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                result = None
+        path = self._cores[core_key].path(city_a, city_b)
+        if path is not None and len(path) > 1:
+            result = tuple(
+                graph[u][v]["conduit_id"] for u, v in zip(path, path[1:])
+            )
         self._path_cache[key] = result
         return result
 

@@ -54,8 +54,7 @@ manifests, and npz payloads.
 from __future__ import annotations
 
 import os
-from bisect import bisect
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -138,11 +137,6 @@ def _pick_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized v1 ``_pick``: ``bisect(cum, u * cum[-1])`` clamped."""
     idx = np.searchsorted(cum, u * cum[-1], side="right")
     return np.minimum(idx, len(cum) - 1)
-
-
-def _pick_index(cum: List[float], u: float) -> int:
-    """Scalar twin of :func:`_pick_indices` (same float64 arithmetic)."""
-    return bisect(cum, u * cum[-1], 0, len(cum) - 1)
 
 
 class _PlanTables:
@@ -255,12 +249,11 @@ class _TemplateStore:
     ids and doubled cumulative latencies padded to
     :data:`HOP_NOISE_BUDGET` columns, its hop count (``-1`` marks an
     unreachable pair), and its four schema endpoint ids.  Rows are
-    built in vectorized batches against the routing core — or, without
-    scipy, one at a time from the engine's per-pair template cache; the
-    two builders are bit-identical because a row-wise ``cumsum`` over
-    the path's edge weights replays the scalar path's sequential
-    left-to-right latency accumulation exactly — and rows persist
-    across batches and shards within a worker.
+    built in vectorized batches against the routing core — bit-identical
+    to the engine's per-pair hop templates, because a row-wise
+    ``cumsum`` over the path's edge weights replays the scalar path's
+    sequential left-to-right latency accumulation exactly — and rows
+    persist across batches and shards within a worker.
     """
 
     def __init__(self) -> None:
@@ -294,31 +287,6 @@ class _TemplateStore:
             raise RuntimeError(
                 f"a path has {max_hops} visible hops; RNG contract v2 "
                 f"budgets {HOP_NOISE_BUDGET} noise slots per trace"
-            )
-
-    def _build_rows_scalar(
-        self, engine: ProbeEngine, tables: _PlanTables, codes: np.ndarray
-    ) -> None:
-        """Reference builder (no scipy): one engine template per pair."""
-        rows = self._reserve(len(codes))
-        for row, code in zip(rows.tolist(), codes.tolist()):
-            cn, dn = divmod(code, tables.n_dest_nodes)
-            template = engine._hop_template(
-                tables.client_nodes[cn], tables.dest_nodes[dn]
-            )
-            self._row_of[code] = row
-            if template is False:
-                continue
-            k = len(template.router_ids)
-            self._check_budget(k)
-            self.counts[row] = k
-            self.router_pad[row, :k] = template.router_ids
-            self.cum_pad[row, :k] = template.double_cum
-            self.endpoints[row] = (
-                template.src_city_id,
-                template.src_isp_id,
-                template.dst_city_id,
-                template.dst_isp_id,
             )
 
     def _build_rows_vectorized(
@@ -400,11 +368,7 @@ class _TemplateStore:
         self.endpoints[target, 3] = ct.isp_id[dst_r]
 
     def rows_for(
-        self,
-        engine: ProbeEngine,
-        tables: _PlanTables,
-        core_tables: "_CoreTables | None",
-        codes: np.ndarray,
+        self, tables: _PlanTables, core_tables: _CoreTables, codes: np.ndarray
     ) -> np.ndarray:
         uniq, inverse = np.unique(codes, return_inverse=True)
         known = np.array(
@@ -413,11 +377,7 @@ class _TemplateStore:
         )
         missing = np.flatnonzero(known < 0)
         if missing.size:
-            new = uniq[missing]
-            if core_tables is not None:
-                self._build_rows_vectorized(core_tables, tables, new)
-            else:
-                self._build_rows_scalar(engine, tables, new)
+            self._build_rows_vectorized(core_tables, tables, uniq[missing])
             lookup = self._row_of
             for j in missing.tolist():
                 known[j] = lookup[int(uniq[j])]
@@ -426,24 +386,20 @@ class _TemplateStore:
 
 def _v2_state(
     engine: ProbeEngine, plan: "_CampaignPlan"
-) -> Tuple[_PlanTables, "_CoreTables | None", _TemplateStore]:
+) -> Tuple[_PlanTables, _CoreTables, _TemplateStore]:
     """Per-(engine, plan) vectorization state, cached on the engine so
     it persists across the batches and shards one worker processes."""
     state = getattr(engine, "_rngv2_state", None)
     if state is None or state[0] is not plan:
         tables = _PlanTables(plan)
-        core_tables = (
-            _CoreTables(engine, tables) if engine._core is not None else None
-        )
-        state = (plan, tables, core_tables, _TemplateStore())
+        state = (plan, tables, _CoreTables(engine, tables), _TemplateStore())
         engine._rngv2_state = state
     return state[1], state[2], state[3]
 
 
 def _batch_columns(
-    engine: ProbeEngine,
     tables: _PlanTables,
-    core_tables: "_CoreTables | None",
+    core_tables: _CoreTables,
     store: _TemplateStore,
     config: "CampaignConfig",
     schema: ColumnSchema,
@@ -477,7 +433,7 @@ def _batch_columns(
                 dn[m] = tables.dest_base[k] + _pick_indices(cum, u[m, 3])
         distinct = tables.client_gid[cn] != tables.dest_gid[dn]
         codes = cn[distinct] * tables.n_dest_nodes + dn[distinct]
-        cand_rows = store.rows_for(engine, tables, core_tables, codes)
+        cand_rows = store.rows_for(tables, core_tables, codes)
         reached = store.counts[cand_rows] >= 0
         hit = np.flatnonzero(distinct)[reached]
         rows[unresolved[hit]] = cand_rows[reached]
@@ -539,7 +495,7 @@ def generate_columns_v2(
     batch = max(1, config.batch_size)
     parts = [
         _batch_columns(
-            engine, tables, core_tables, store, config, schema,
+            tables, core_tables, store, config, schema,
             b0, min(b0 + batch, stop),
         )
         for b0 in range(start, stop, batch)
@@ -556,61 +512,6 @@ def generate_columns_v2(
             rng_contract=RNG_CONTRACT_V2,
         )
     return TraceColumns.concatenate(schema, parts)
-
-
-def trace_record_v2(
-    engine: ProbeEngine,
-    plan: "_CampaignPlan",
-    config: "CampaignConfig",
-    index: int,
-) -> "Any":
-    """The v2 record for one trace index — the scalar reference
-    implementation of the batch path, draw-compatible by construction
-    (used by the legacy object view and the parity tests)."""
-    from repro.traceroute.probe import Hop, TracerouteRecord
-
-    seed = config.seed
-    for rnd in range(MAX_ATTEMPTS_PER_TRACE):
-        u = _stream(seed, _PURPOSE_ENDPOINT, rnd, index).random(BLOCK_DRAWS)
-        src_isp = plan.client_names[_pick_index(plan.client_cum, u[0])]
-        dst_isp = plan.dest_names[_pick_index(plan.dest_cum, u[1])]
-        cities, cum = plan.client_cities[src_isp]
-        src_city = cities[_pick_index(cum, u[2])]
-        cities, cum = plan.dest_cities[dst_isp]
-        dst_city = cities[_pick_index(cum, u[3])]
-        if src_city == dst_city and src_isp == dst_isp:
-            continue
-        template = engine._hop_template(
-            (src_isp, src_city), (dst_isp, dst_city)
-        )
-        if template is False:
-            continue
-        k = len(template.router_ids)
-        noise = _stream(
-            seed, _PURPOSE_NOISE, 0, index * HOP_NOISE_BLOCKS
-        ).random(HOP_NOISE_BUDGET)[:k]
-        rtts = template.double_cum + QUEUE_NOISE_MS * noise
-        schema = engine.column_schema()
-        hops = tuple(
-            Hop(
-                ip=schema.router_ips[r],
-                dns_name=schema.router_dns[r],
-                rtt_ms=float(rtts[j]),
-            )
-            for j, r in enumerate(template.router_ids.tolist())
-        )
-        return TracerouteRecord(
-            src_city=src_city,
-            src_isp=src_isp,
-            dst_city=dst_city,
-            dst_isp=dst_isp,
-            hops=hops,
-            reached=True,
-        )
-    raise RuntimeError(
-        f"trace {index}: no reachable (src, dst) pair after "
-        f"{MAX_ATTEMPTS_PER_TRACE} draws; topology too disconnected"
-    )
 
 
 def geo_unit_draws(seed: int, count: int) -> np.ndarray:

@@ -24,12 +24,7 @@ from repro.risk.traffic import (
     traffic_risk_report,
     traffic_risk_report_from_columns,
 )
-from repro.traceroute.campaign import (
-    CampaignConfig,
-    _CampaignPlan,
-    _trace_for_index,
-    run_campaign,
-)
+from repro.traceroute.campaign import CampaignConfig, _CampaignPlan, run_campaign
 from repro.traceroute.columns import (
     TraceColumns,
     columns_from_npz_bytes,
@@ -37,6 +32,7 @@ from repro.traceroute.columns import (
 )
 from repro.traceroute.overlay import EAST_TO_WEST, WEST_TO_EAST, TrafficOverlay
 from repro.traceroute.probe import ProbeEngine, TracerouteRecord
+from tests.oracles import _trace_for_index
 
 
 @pytest.fixture(scope="module")

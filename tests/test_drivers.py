@@ -8,7 +8,7 @@ Covers the §5.2 optimizer-driver refactor:
   footprint can never produce — see the proof in
   ``test_old_mask_is_latent_on_undirected_footprints``);
 * greedy-driver byte-parity with the pre-refactor implementation on
-  randomized maps (substrate and reference paths);
+  randomized maps (substrate engine vs the NetworkX oracle engine);
 * pool-truncation accounting (``pool_size``/``pool_truncated`` fields
   plus the ``mitigation.augmentation.candidates_truncated`` counter);
 * duplicate-provider dedupe in ``improvement_curves``;
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.mitigation import augmentation
@@ -41,16 +42,9 @@ from repro.mitigation.drivers import (
     run_driver,
 )
 from repro.obs.tracer import Tracer, tracing
-from repro.perf.substrate import HAVE_SCIPY, build_substrate
-
-if HAVE_SCIPY:
-    import numpy as np
-
+from repro.perf.substrate import build_substrate
+from tests import oracles
 from tests.test_substrate import _random_fiber_map
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="the driver engines require scipy"
-)
 
 INF = float("inf")
 
@@ -143,9 +137,8 @@ class TestGainMaskRegression:
         substrate = build_substrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, seed)
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=3,
-                candidates=candidates, substrate=False,
+            reference = oracles.improvement_curve(
+                fiber_map, None, isp, max_k=3, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=3,
@@ -227,9 +220,8 @@ class TestPoolAccounting:
         candidates = _synthetic_candidates(fiber_map, 10, count=8)
         monkeypatch.setattr(augmentation, "MAX_CANDIDATES", 3)
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=2,
-                candidates=candidates, substrate=False,
+            reference = oracles.improvement_curve(
+                fiber_map, None, isp, max_k=2, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=2,
@@ -356,9 +348,8 @@ class TestStochasticDrivers:
         substrate = build_substrate(fiber_map)
         candidates = _synthetic_candidates(fiber_map, 16)
         for name in ("anneal", "random"):
-            reference = improvement_curve(
-                fiber_map, None, "AlphaNet", max_k=3,
-                candidates=candidates, substrate=False,
+            reference = oracles.improvement_curve(
+                fiber_map, None, "AlphaNet", max_k=3, candidates=candidates,
                 driver=name, driver_seed=2, budget=8,
             )
             fast = improvement_curve(

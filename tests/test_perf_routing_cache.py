@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.perf.cache import ArtifactCache, code_version, resolve_cache
-from repro.perf.routing import HAVE_SCIPY, build_routing_core
+from repro.perf.routing import build_routing_core
 from repro.scenario import Scenario
 from repro.traceroute.campaign import (
     CampaignConfig,
@@ -17,17 +17,13 @@ from repro.traceroute.campaign import (
     run_campaign,
 )
 from repro.traceroute.probe import ProbeEngine
-
-needs_scipy = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="scipy unavailable: no array routing core"
-)
+from tests.oracles import ReferenceProbeEngine
 
 
 def _edge_cost(graph, path, weight="ms"):
     return sum(graph[u][v][weight] for u, v in zip(path, path[1:]))
 
 
-@needs_scipy
 class TestRoutingCore:
     def test_distances_match_networkx(self, topology):
         graph = topology.graph
@@ -91,9 +87,7 @@ class TestRoutingCore:
 
     def test_engine_matches_reference_path_costs(self, topology):
         fast = ProbeEngine(topology, seed=5)
-        reference = ProbeEngine(topology, seed=5, use_array_core=False)
-        assert fast.uses_array_core
-        assert not reference.uses_array_core
+        reference = ReferenceProbeEngine(topology, seed=5)
         graph = topology.graph
         nodes = sorted(graph.nodes)
         rng = random.Random(13)
@@ -107,6 +101,8 @@ class TestRoutingCore:
                 assert _edge_cost(graph, a) == pytest.approx(
                     _edge_cost(graph, b)
                 )
+        # The oracle really routed on its NetworkX predecessor maps.
+        assert reference._pred_cache
 
 
 class TestParallelCampaign:

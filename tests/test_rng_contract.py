@@ -20,12 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.traceroute.campaign import (
-    CampaignConfig,
-    _CampaignPlan,
-    run_campaign,
-    trace_record_v2,
-)
+from repro.traceroute.campaign import CampaignConfig, _CampaignPlan, run_campaign
 from repro.traceroute.columns import (
     ColumnSchema,
     columns_from_npz_bytes,
@@ -34,6 +29,7 @@ from repro.traceroute.columns import (
 from repro.traceroute.geolocate import GeolocationDatabase
 from repro.traceroute.probe import ProbeEngine
 from repro.traceroute import rngv2
+from tests.oracles import build_rows_scalar, trace_record_v2
 from tests.test_golden_hashes import record_digest
 
 #: The pre-v2 campaign goldens (recorded against PR 3, seed 2020 — the
@@ -143,20 +139,18 @@ class TestScalarReference:
 
     def test_vectorized_templates_match_engine_templates(self, topology):
         # The canary for the vectorized template builder: its padded
-        # rows must be bit-identical to the scalar builder's (which
-        # wraps ``engine._hop_template``), for every pair a campaign
-        # actually draws.
+        # rows must be bit-identical to the scalar oracle builder's
+        # (which wraps ``engine._hop_template``), for every pair a
+        # campaign actually draws.
         config = _config(num_traces=600, rng_contract=2)
         engine = ProbeEngine(topology, seed=config.seed + 1)
         plan = _CampaignPlan(topology, config)
         rngv2.generate_columns_v2(engine, plan, config, 0, 600)
         tables, core_tables, store = rngv2._v2_state(engine, plan)
-        if core_tables is None:
-            pytest.skip("scipy routing core unavailable")
         codes = np.array(sorted(store._row_of), dtype=np.int64)
         reference = rngv2._TemplateStore()
-        rows = store.rows_for(engine, tables, core_tables, codes)
-        ref_rows = reference.rows_for(engine, tables, None, codes)
+        rows = store.rows_for(tables, core_tables, codes)
+        ref_rows = build_rows_scalar(reference, engine, tables, codes)
         assert np.array_equal(store.counts[rows], reference.counts[ref_rows])
         assert np.array_equal(
             store.endpoints[rows], reference.endpoints[ref_rows]

@@ -1,16 +1,17 @@
-"""Parity suite: the CSR routing substrate vs the NetworkX reference.
+"""Parity suite: the CSR routing substrate vs the NetworkX oracles.
 
-Every §5/resilience entry point accepts ``substrate=False`` to force the
-NetworkX reference implementation; these tests run both code paths over
-randomized fiber maps (parallel conduits, multi-hop links, disconnected
-providers included) and require exact equality — distances, enumerated
-path lengths, cut impacts, greedy augmentation choices.  The substrate
-is only an optimization if this suite can never tell it apart from the
-reference.
+Every §5/resilience entry point runs on the routing substrate;
+:mod:`tests.oracles` keeps the original NetworkX implementation of each.
+These tests run both over randomized fiber maps (parallel conduits,
+multi-hop links, disconnected providers included) and require exact
+equality — distances, enumerated path lengths, cut impacts, greedy
+augmentation choices, exchange plans.  The substrate is only an
+optimization if this suite can never tell it apart from the oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -20,17 +21,15 @@ from repro.fibermap.elements import FiberMap
 from repro.geo.coords import GeoPoint
 from repro.geo.polyline import Polyline
 from repro.mitigation.augmentation import improvement_curve
+from repro.mitigation.exchange import plan_exchange
 from repro.mitigation.latency import latency_study
 from repro.mitigation.robustness import optimize_all_isps
-from repro.perf.substrate import HAVE_SCIPY, build_substrate
+from repro.perf.substrate import build_substrate
 from repro.resilience.cuts import edge_cut
 from repro.resilience.impact import assess_cut
 from repro.resilience.montecarlo import random_cut_study, targeted_attack
 from repro.risk.matrix import RiskMatrix
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="the routing substrate requires scipy"
-)
+from tests import oracles
 
 SEEDS = (7, 23, 101)
 
@@ -108,13 +107,11 @@ class TestGraphViewParity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exclusion_matches_rebuilt_risk_graph(self, seed):
-        from repro.mitigation.robustness import _risk_graph
-
         fiber_map = _random_fiber_map(seed)
         substrate = build_substrate(fiber_map)
         for cid in sorted(fiber_map.conduits)[::3]:
             view = substrate.conduits.conduit_view_excluding(cid)
-            graph = _risk_graph(fiber_map, exclude=cid)
+            graph = oracles._risk_graph(fiber_map, exclude=cid)
             a, b = fiber_map.conduit(cid).edge
             try:
                 expected = nx.shortest_path_length(graph, a, b, weight="risk")
@@ -179,7 +176,7 @@ class TestAnalysisParity:
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
         substrate = build_substrate(fiber_map)
-        reference = optimize_all_isps(fiber_map, matrix, top=8, substrate=False)
+        reference = oracles.optimize_all_isps(fiber_map, matrix, top=8)
         fast = optimize_all_isps(fiber_map, matrix, top=8, substrate=substrate)
         assert sorted(fast) == sorted(reference)
         for isp in reference:
@@ -204,7 +201,7 @@ class TestAnalysisParity:
         rng = random.Random(seed + 2)
         for edge in rng.sample(edges, min(6, len(edges))):
             event = edge_cut(fiber_map, *edge)
-            reference = assess_cut(fiber_map, event, substrate=False)
+            reference = oracles.assess_cut(fiber_map, event)
             fast = assess_cut(fiber_map, event, substrate=substrate)
             assert fast == reference
 
@@ -213,11 +210,11 @@ class TestAnalysisParity:
         fiber_map = _random_fiber_map(seed)
         matrix = RiskMatrix(fiber_map, isps=fiber_map.isps())
         substrate = build_substrate(fiber_map)
-        reference = targeted_attack(fiber_map, matrix, cuts=5, substrate=False)
+        reference = oracles.targeted_attack(fiber_map, matrix, cuts=5)
         fast = targeted_attack(fiber_map, matrix, cuts=5, substrate=substrate)
         assert fast == reference
-        reference_runs = random_cut_study(
-            fiber_map, cuts=4, trials=4, seed=seed, substrate=False
+        reference_runs = oracles.random_cut_study(
+            fiber_map, cuts=4, trials=4, seed=seed
         )
         fast_runs = random_cut_study(
             fiber_map, cuts=4, trials=4, seed=seed, substrate=substrate
@@ -238,9 +235,8 @@ class TestAnalysisParity:
                 candidates.append(((a, b), 100.0 + 50.0 * rng.random()))
                 used.add((a, b))
         for isp in fiber_map.isps():
-            reference = improvement_curve(
-                fiber_map, None, isp, max_k=4,
-                candidates=candidates, substrate=False,
+            reference = oracles.improvement_curve(
+                fiber_map, None, isp, max_k=4, candidates=candidates
             )
             fast = improvement_curve(
                 fiber_map, None, isp, max_k=4,
@@ -248,14 +244,41 @@ class TestAnalysisParity:
             )
             assert fast == reference, isp
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exchange_plans_identical(self, seed):
+        # The sparse map leaves provider footprints in several
+        # components (demands with infinite cost); the absent provider
+        # has no footprint at all.
+        for fiber_map in (
+            _random_fiber_map(seed),
+            _random_fiber_map(seed, cities=10, extra_conduits=2),
+        ):
+            rng = random.Random(seed + 4)
+            used = {c.edge for c in fiber_map.conduits.values()}
+            candidates = [
+                ((a, b), 100.0 + 50.0 * rng.random())
+                for a, b in itertools.combinations(sorted(fiber_map.nodes), 2)
+                if (a, b) not in used
+            ]
+            isps = fiber_map.isps() + ["AbsentNet"]
+            for num_conduits in (1, 5, len(candidates)):
+                reference = oracles.plan_exchange(
+                    fiber_map, None, isps,
+                    num_conduits=num_conduits, candidates=candidates,
+                )
+                fast = plan_exchange(
+                    fiber_map, None, isps,
+                    num_conduits=num_conduits, candidates=candidates,
+                )
+                assert reference, seed
+                assert repr(fast) == repr(reference)
+
 
 class TestScenarioParity:
     """Parity on the realistic session map (latency needs a network)."""
 
     def test_latency_study_identical(self, scenario, built_map, network):
-        reference = latency_study(
-            built_map, network, max_pairs=40, substrate=False
-        )
+        reference = oracles.latency_study(built_map, network, max_pairs=40)
         fast = latency_study(
             built_map, network, max_pairs=40, substrate=scenario.substrate
         )
