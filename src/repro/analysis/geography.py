@@ -12,15 +12,13 @@ a refined-products pipeline; Houston-Atlanta along NGL pipelines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.fibermap.elements import Conduit, FiberMap
-from repro.geo.overlap import (
-    DEFAULT_BUFFER_KM,
-    CorridorIndex,
-    histogram,
-    overlap_profile,
-)
+from repro.geo.overlap import DEFAULT_BUFFER_KM, CorridorIndex, histogram
+from repro.obs import get_tracer
 from repro.transport.network import TransportationNetwork
 
 
@@ -69,26 +67,50 @@ def geography_report(
     spacing_km: float = 10.0,
     index: Optional[CorridorIndex] = None,
 ) -> GeographyReport:
-    """Compute co-location of every conduit with road/rail/pipeline layers."""
-    if index is None:
-        index = network.corridor_index()
-    rows: List[ConduitColocation] = []
-    for conduit_id, conduit in sorted(fiber_map.conduits.items()):
-        profile = overlap_profile(
-            conduit.geometry, index, buffer_km=buffer_km, spacing_km=spacing_km
+    """Compute co-location of every conduit with road/rail/pipeline layers.
+
+    Every conduit is resampled every *spacing_km*; one batched corridor
+    query tests all samples against every kind's buffer, and each
+    conduit's counts are differences of cumulative sums over its run of
+    samples.
+    """
+    tracer = get_tracer()
+    with tracer.span("analysis.geography", buffer_km=buffer_km):
+        if index is None:
+            index = network.corridor_index()
+        conduits = sorted(fiber_map.conduits.items())
+        lats: List[float] = []
+        lons: List[float] = []
+        bounds = [0]
+        for _, conduit in conduits:
+            for point in conduit.geometry.resample(spacing_km):
+                lats.append(point.lat)
+                lons.append(point.lon)
+            bounds.append(len(lats))
+        tracer.count("samples", len(lats))
+        near = index.kinds_near_many(np.array(lats), np.array(lons), buffer_km)
+        none = np.zeros(len(lats), dtype=bool)
+        road = near.get("road", none)
+        rail = near.get("rail", none)
+        hits = np.stack(
+            [road, rail, near.get("pipeline", none), road | rail], axis=1
         )
-        road = profile.fraction("road")
-        rail = profile.fraction("rail")
-        union = profile.union("road", "rail")
-        rows.append(
+        cumulative = np.zeros((len(lats) + 1, hits.shape[1]), dtype=np.int64)
+        np.cumsum(hits, axis=0, out=cumulative[1:])
+        ends = np.array(bounds)
+        counts = (cumulative[ends[1:]] - cumulative[ends[:-1]]).tolist()
+        rows = [
             ConduitColocation(
                 conduit_id=conduit_id,
-                road=road,
-                rail=rail,
-                pipeline=profile.fraction("pipeline"),
-                road_or_rail=union,
+                road=road_n / n,
+                rail=rail_n / n,
+                pipeline=pipeline_n / n,
+                road_or_rail=union_n / n,
             )
-        )
+            for (conduit_id, _), (road_n, rail_n, pipeline_n, union_n), n in zip(
+                conduits, counts, np.diff(ends).tolist()
+            )
+        ]
     return GeographyReport(colocations=tuple(rows), buffer_km=buffer_km)
 
 

@@ -12,6 +12,7 @@ from typing import Tuple
 
 from repro.analysis.geography import GeographyReport, geography_report
 from repro.analysis.report import format_histogram
+from repro.geo.overlap import DEFAULT_BUFFER_KM
 from repro.scenario import Scenario
 
 
@@ -28,7 +29,7 @@ class Fig4Result:
 requires = ("constructed_map", "ground_truth")
 
 
-def run(scenario: Scenario, buffer_km: float = 15.0) -> Fig4Result:
+def run(scenario: Scenario, buffer_km: float = DEFAULT_BUFFER_KM) -> Fig4Result:
     report = geography_report(
         scenario.constructed_map, scenario.network, buffer_km=buffer_km
     )

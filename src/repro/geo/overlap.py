@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.geo.coords import GeoPoint
 from repro.geo.grid import SpatialGridIndex
 from repro.geo.polyline import Polyline
+from repro.geo.vectorized import points_to_arrays
 
 #: Default buffer: the paper does not publish its exact buffer width; conduits
 #: laid "along" a highway ROW sit within a few hundred meters of it, but our
@@ -34,15 +37,13 @@ class CorridorIndex:
 
     def __init__(self, cell_deg: float = 0.5):
         self._grid = SpatialGridIndex(cell_deg=cell_deg)
-        self._kinds: set = set()
 
     @property
     def kinds(self) -> frozenset:
-        return frozenset(self._kinds)
+        return frozenset(self._grid.tags)
 
     def add(self, line: Polyline, kind: str) -> None:
         """Index one corridor polyline under infrastructure *kind*."""
-        self._kinds.add(kind)
         self._grid.insert_polyline(line, kind)
 
     def add_many(self, lines: Iterable[Polyline], kind: str) -> None:
@@ -52,6 +53,14 @@ class CorridorIndex:
     def kinds_near(self, point: GeoPoint, radius_km: float) -> frozenset:
         """Infrastructure kinds with geometry within *radius_km* of *point*."""
         return frozenset(self._grid.within(point, radius_km))
+
+    def kinds_near_many(
+        self, lats: np.ndarray, lons: np.ndarray, radius_km: float
+    ) -> Dict[str, np.ndarray]:
+        """Per kind, a bool array: which points have that kind's geometry
+        within *radius_km* (one batched grid query for all points)."""
+        near = self._grid.within_many(lats, lons, radius_km)
+        return {kind: near[:, j] for j, kind in enumerate(self._grid.tags)}
 
 
 @dataclass(frozen=True)
@@ -99,27 +108,22 @@ def overlap_profile(
     whose exact per-sample union fraction should also be computed (the
     paper's "Rail and Road" series).
     """
-    samples = route.resample(spacing_km)
-    counts: Dict[str, int] = {kind: 0 for kind in index.kinds}
-    union_keys = [frozenset(u) for u in unions]
-    union_counts: Dict[frozenset, int] = {key: 0 for key in union_keys}
-    any_count = 0
-    for point in samples:
-        near = index.kinds_near(point, buffer_km)
-        if near:
-            any_count += 1
-        for kind in near:
-            counts[kind] += 1
-        for key in union_keys:
-            if near & key:
-                union_counts[key] += 1
-    n = len(samples)
-    fractions = {kind: counts[kind] / n for kind in counts}
+    lats, lons = points_to_arrays(route.resample(spacing_km))
+    near = index.kinds_near_many(lats, lons, buffer_km)
+    n = lats.size
+    none = np.zeros(n, dtype=bool)
+
+    def fraction_of(kinds: Iterable[str]) -> float:
+        hits = none
+        for kind in kinds:
+            hits = hits | near.get(kind, none)
+        return int(hits.sum()) / n
+
     return OverlapProfile(
-        fractions=fractions,
-        any_fraction=any_count / n,
+        fractions={kind: fraction_of((kind,)) for kind in near},
+        any_fraction=fraction_of(near),
         samples=n,
-        union_fractions={key: union_counts[key] / n for key in union_keys},
+        union_fractions={frozenset(u): fraction_of(u) for u in unions},
     )
 
 

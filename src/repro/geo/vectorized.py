@@ -62,12 +62,40 @@ def segment_distances_km(
     are projected into the local tangent plane of *point* and the
     clamped point-to-segment distance is evaluated in one shot.
     """
+    return projected_segment_distances_km(
+        point.lat,
+        point.lon,
+        np.cos(np.radians(point.lat)),
+        seg_lat_a,
+        seg_lon_a,
+        seg_lat_b,
+        seg_lon_b,
+    )
+
+
+def projected_segment_distances_km(
+    lat: Array,
+    lon: Array,
+    cos_ref: Array,
+    seg_lat_a: Array,
+    seg_lon_a: Array,
+    seg_lat_b: Array,
+    seg_lon_b: Array,
+) -> Array:
+    """Element-wise (broadcast) point-to-segment distances, projected plane.
+
+    Each segment is projected into the local tangent plane of its query
+    point ``(lat, lon)``, whose ``cos_ref`` is ``cos(radians(lat))``;
+    the batched grid query (:meth:`repro.geo.grid.SpatialGridIndex.within_many`)
+    passes one query point per (point, segment) pair, and
+    :func:`segment_distances_km` one point for all segments.  Both run
+    this exact float64 expression, so their results agree bit for bit.
+    """
     km_per_deg = np.pi * EARTH_RADIUS_KM / 180.0
-    cos_ref = np.cos(np.radians(point.lat))
-    ax = (seg_lon_a - point.lon) * km_per_deg * cos_ref
-    ay = (seg_lat_a - point.lat) * km_per_deg
-    bx = (seg_lon_b - point.lon) * km_per_deg * cos_ref
-    by = (seg_lat_b - point.lat) * km_per_deg
+    ax = (seg_lon_a - lon) * km_per_deg * cos_ref
+    ay = (seg_lat_a - lat) * km_per_deg
+    bx = (seg_lon_b - lon) * km_per_deg * cos_ref
+    by = (seg_lat_b - lat) * km_per_deg
     dx = bx - ax
     dy = by - ay
     seg_len_sq = dx * dx + dy * dy

@@ -1,11 +1,13 @@
 """Reference implementations that only the test suite calls.
 
 Each oracle is the original, straightforward implementation of a
-routing question that :mod:`repro` now answers on the compiled scipy
-substrates (:mod:`repro.perf.substrate`, :mod:`repro.perf.routing`) or
-with vectorized RNG streams.  The parity suites run both on the same
-inputs and require identical results, so the fast paths can never drift
-from the semantics these oracles spell out.
+question that :mod:`repro` now answers on the compiled scipy substrates
+(:mod:`repro.perf.substrate`, :mod:`repro.perf.routing`), with
+vectorized RNG streams, or with the batched corridor-grid kernel
+(:mod:`tests.oracles.geography`, the per-point §3 buffer overlap).  The
+parity suites run both on the same inputs and require identical
+results, so the fast paths can never drift from the semantics these
+oracles spell out.
 """
 
 from tests.oracles.augmentation import (

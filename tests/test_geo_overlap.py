@@ -1,5 +1,6 @@
 """Tests for the buffer-overlap (co-location) analysis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from repro.geo.overlap import (
     overlap_profile,
 )
 from repro.geo.polyline import Polyline
+from tests.oracles import geography as geo_oracle
 
 ROAD = Polyline([GeoPoint(40.0, -105.0), GeoPoint(40.0, -100.0)])
 RAIL = Polyline([GeoPoint(40.1, -105.0), GeoPoint(40.1, -102.5)])
@@ -112,3 +114,46 @@ class TestHistogram:
         _, counts = histogram(values, bins=bins)
         assert sum(counts) == len(values)
         assert len(counts) == bins
+
+
+def _random_line(rng, legs=5):
+    """A random walk of *legs* segments starting in the central US."""
+    points = [GeoPoint(rng.uniform(33.0, 37.0), rng.uniform(-100.0, -94.0))]
+    for _ in range(legs):
+        last = points[-1]
+        points.append(
+            GeoPoint(
+                last.lat + rng.uniform(-0.5, 0.5),
+                last.lon + rng.uniform(-0.8, 0.8),
+            )
+        )
+    return Polyline(points)
+
+
+class TestOverlapProfileParity:
+    """The batched profile equals the per-point reference in tests/oracles."""
+
+    @pytest.mark.parametrize(
+        "kinds", [("road", "rail", "pipeline"), ("road", "rail")]
+    )
+    def test_matches_reference(self, kinds):
+        rng = np.random.default_rng(len(kinds))
+        idx = CorridorIndex()
+        for i in range(60):
+            idx.add(_random_line(rng), kinds[i % len(kinds)])
+        for _ in range(8):
+            route = _random_line(rng)
+            for buffer_km in (5.0, 15.0, 30.0):
+                got = overlap_profile(
+                    route, idx, buffer_km=buffer_km,
+                    unions=(("road", "rail"), ("rail", "pipeline")),
+                )
+                expected = geo_oracle.overlap_profile(
+                    route, idx, buffer_km=buffer_km,
+                    unions=(("road", "rail"), ("rail", "pipeline")),
+                )
+                assert got == expected
+                point = route.start
+                assert idx.kinds_near(point, buffer_km) == geo_oracle.kinds_near(
+                    idx, point, buffer_km
+                )
